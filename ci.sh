@@ -2,7 +2,8 @@
 # ci.sh - the repo's verification gate: formatting, static analysis
 # (go vet plus the yancvet lock/clock/error invariant suite), the
 # full test suite under the race detector, a doubled run of the
-# concurrency stress/chaos battery, a benchmark smoke pass (every
+# concurrency stress/chaos battery, vet and race tests of the perfbench
+# benchmark module, a benchmark smoke pass (every
 # benchmark runs one iteration, so a broken rig fails CI even when no
 # one is measuring), the E14 multicore scaling gate (fails the build
 # if 4 workers are slower than 1 on a 4+-core machine), the E15
@@ -59,6 +60,17 @@ go test -race ./...
 
 echo "==> go test -race concurrency battery (Stress|Chaos|Alloc, -count=2)"
 go test -race -run 'Stress|Chaos|Alloc' -count=2 ./...
+
+# The benchmark is its own module (perfbench/go.mod, replacing yanc with
+# this tree); vet and race-test it under the same offline environment
+# perfbench/run.sh builds it with.
+echo "==> perfbench (go vet, go test -race)"
+(
+    cd perfbench
+    export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local GOWORK=off
+    go vet .
+    go test -race .
+)
 
 echo "==> go test -bench (smoke, 1 iteration)"
 go test -bench=. -benchtime=1x -run='^$' ./...

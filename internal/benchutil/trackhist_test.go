@@ -134,3 +134,46 @@ func TestTrackingHistogramReport(t *testing.T) {
 		t.Fatalf("avg outside [min, max]: %+v", r)
 	}
 }
+
+// TestQuantileNeverExceedsMax: a quantile estimate is a bucket's upper
+// bound, which can lie far above every sample; it must be clamped to
+// the observed Max on a plain snapshot, on a Sub window delta, and on a
+// merged tracking histogram. The samples share one bucket [512, 1024)
+// and top out at 800, so an unclamped estimate reads 1024.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	var plain vfs.Histogram
+	for _, d := range []time.Duration{600, 700, 800} {
+		plain.Observe(d)
+	}
+
+	var windowed vfs.Histogram
+	windowed.Observe(600)
+	before := windowed.Snapshot()
+	windowed.Observe(700)
+	windowed.Observe(800)
+
+	a, b := NewTrackingHistogram(), NewTrackingHistogram()
+	a.Observe(600)
+	a.Observe(650)
+	b.Observe(700)
+	b.Observe(800)
+
+	cases := []struct {
+		name string
+		s    vfs.HistSnapshot
+	}{
+		{"plain", plain.Snapshot()},
+		{"sub delta", windowed.Snapshot().Sub(before)},
+		{"merged", a.Snapshot().Merge(b.Snapshot()).HistSnapshot},
+	}
+	for _, c := range cases {
+		if c.s.Max != 800 {
+			t.Fatalf("%s: max = %v, want 800ns", c.name, c.s.Max)
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99, 1} {
+			if got := c.s.Quantile(q); got > c.s.Max || got < 600 {
+				t.Errorf("%s: Quantile(%v) = %v, want within [600ns, max %v]", c.name, q, got, c.s.Max)
+			}
+		}
+	}
+}

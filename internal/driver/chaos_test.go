@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"strconv"
@@ -241,5 +242,62 @@ func TestLastSeenUsesClockOverride(t *testing.T) {
 	eventually(t, "last_seen follows Clock override", func() bool {
 		got, _ := p.ReadString("/switches/sw1/last_seen")
 		return got == want
+	})
+}
+
+// TestChaosTCPTeardownNoLeak: every switch attached through Serve owns
+// one reader goroutine parked on its socket; Driver.Close must end all
+// of them, so the goroutine count returns to its baseline once the
+// switches and the listener are gone.
+func TestChaosTCPTeardownNoLeak(t *testing.T) {
+	const nSwitches = 32
+	base := runtime.NumGoroutine()
+	y, err := yancfs.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(y)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); _ = d.Serve(ln) }()
+
+	n := switchsim.NewNetwork()
+	var dials sync.WaitGroup
+	for i := 1; i <= nSwitches; i++ {
+		n.AddSwitch(uint64(i), fmt.Sprintf("sw%d", i), openflow.Version13, 2)
+		sw := n.Switch(uint64(i))
+		dials.Add(1)
+		go func() {
+			defer dials.Done()
+			_ = sw.Dial(ln.Addr().String())
+		}()
+	}
+	p := y.Root()
+	eventually(t, "all switches connected", func() bool {
+		for i := 1; i <= nSwitches; i++ {
+			if s, _ := p.ReadString(fmt.Sprintf("/switches/sw%d/status", i)); s != "connected" {
+				return false
+			}
+		}
+		return true
+	})
+
+	d.Close()
+	// Each switch sees EOF once the driver closes its socket.
+	dialsDone := make(chan struct{})
+	go func() { dials.Wait(); close(dialsDone) }()
+	select {
+	case <-dialsDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("switches still connected after Driver.Close")
+	}
+	ln.Close()
+	<-serveDone
+	eventually(t, "goroutines drained", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= base+3
 	})
 }

@@ -19,7 +19,6 @@
 package driver
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"yanc/internal/openflow"
@@ -141,14 +139,6 @@ type SwitchConn struct {
 	box       []func()
 	boxActive bool
 
-	// Multiplexed read path (poll_linux.go). rawConn is non-nil only for
-	// OS-socket transports; readBuf/scratch are touched solely by the
-	// mailbox-serialized pollRead.
-	rawConn syscall.RawConn
-	pollFd  int32
-	readBuf []byte
-	scratch []byte
-
 	// Packet-in coalescing: the read path enqueues and schedules a drain
 	// task that batches into DeliverPacketInBatch, so a flood of
 	// packet-ins costs one file system transaction per batch instead of
@@ -179,8 +169,9 @@ type SwitchConn struct {
 // transaction will coalesce.
 const maxPktInBatch = 64
 
-// pktInQueueLen is the readLoop->deliverLoop queue depth; beyond it the
-// driver sheds packet-ins rather than stall the control channel reader.
+// pktInQueueLen is the depth of the queue from readLoop to the mailbox's
+// drainPktin; beyond it the driver sheds packet-ins rather than stall
+// the control channel reader.
 const pktInQueueLen = 1024
 
 // now returns the driver's timestamp source for file-stamped times: the
@@ -321,27 +312,7 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 	sc.syncAllFlows()
 	sc.drainPacketOut()
 
-	// Read path: OS-socket transports are multiplexed over the shared
-	// poller; anything else (net.Pipe rigs, fault-injection wrappers that
-	// hide the fd) keeps a dedicated reader goroutine.
-	started := false
-	if m.poller != nil {
-		if scc, ok := rw.(syscall.Conn); ok {
-			if raw, rerr := scc.SyscallConn(); rerr == nil {
-				sc.rawConn = raw
-				sc.readBuf = conn.TakeBuffered()
-				if m.poller.add(sc) {
-					// Decode handshake leftovers (and arm the first drain)
-					// through the mailbox, serialized with poller wakeups.
-					sc.enqueue(sc.pollRead)
-					started = true
-				}
-			}
-		}
-	}
-	if !started {
-		go sc.readLoop()
-	}
+	go sc.readLoop()
 	d.Logf("driver: %s attached (dpid %016x, %s, %d ports)",
 		name, features.DatapathID, sc.Protocol, len(features.Ports))
 	return sc, nil
@@ -419,9 +390,9 @@ func (sc *SwitchConn) populate() error {
 	return nil
 }
 
-// stop tears the connection down: deregister from the poller, close the
-// transport (which ends a fallback reader goroutine), and run the
-// disconnect bookkeeping exactly once.
+// stop tears the connection down: close the transport (which ends the
+// reader goroutine's blocked Read) and run the disconnect bookkeeping
+// exactly once.
 func (sc *SwitchConn) stop() {
 	sc.mu.Lock()
 	if sc.closed {
@@ -431,9 +402,6 @@ func (sc *SwitchConn) stop() {
 	sc.closed = true
 	close(sc.done)
 	sc.mu.Unlock()
-	if sc.rawConn != nil && sc.mux != nil && sc.mux.poller != nil {
-		sc.mux.poller.del(sc)
-	}
 	sc.conn.Close()
 	sc.discOnce.Do(sc.onDisconnect)
 }
@@ -492,9 +460,11 @@ func (sc *SwitchConn) echoProbe(misses int) {
 	_ = sc.write(&openflow.EchoRequest{})
 }
 
-// readLoop is the fallback read path for transports without an OS file
-// descriptor: a dedicated goroutine blocked in Conn.Read. TCP-backed
-// connections use the shared poller instead (poll_linux.go).
+// readLoop is the connection's read path, for every transport: one
+// goroutine parked in Conn.Read (for sockets, in the Go runtime's
+// netpoller), dispatching each frame through handleMessage. A read or
+// framing error — a short length field, an unknown version, a closed
+// transport — tears the connection down.
 func (sc *SwitchConn) readLoop() {
 	defer sc.stop()
 	for {
@@ -506,44 +476,10 @@ func (sc *SwitchConn) readLoop() {
 	}
 }
 
-// decodeFrames extracts every complete frame from readBuf, dispatching
-// each through handleMessage. Returns false after tearing the connection
-// down on a malformed frame. Only the mailbox-serialized read task calls
-// this.
-func (sc *SwitchConn) decodeFrames() bool {
-	buf := sc.readBuf
-	off := 0
-	for {
-		if len(buf)-off < 8 {
-			break
-		}
-		length := int(binary.BigEndian.Uint16(buf[off+2 : off+4]))
-		if length < 8 {
-			sc.stop()
-			return false
-		}
-		if len(buf)-off < length {
-			break
-		}
-		raw := make([]byte, length)
-		copy(raw, buf[off:off+length])
-		off += length
-		msg, err := sc.conn.Decode(raw)
-		if err != nil {
-			sc.stop()
-			return false
-		}
-		sc.handleMessage(msg)
-	}
-	if off > 0 {
-		sc.readBuf = append(sc.readBuf[:0], buf[off:]...)
-	}
-	return true
-}
-
-// handleMessage dispatches one message arriving from the switch. It is
-// called by exactly one reader at a time per connection (the fallback
-// goroutine or the mailbox-serialized poller task).
+// handleMessage dispatches one message arriving from the switch. Only
+// the connection's readLoop calls it, so messages are handled in wire
+// order, concurrently with the mailbox: every field it shares with
+// mailbox tasks is atomic or guarded by sc.mu.
 func (sc *SwitchConn) handleMessage(msg openflow.Message) {
 	sc.rxMsgs.Add(1)
 	switch m := msg.(type) {

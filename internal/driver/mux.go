@@ -12,28 +12,23 @@ import (
 
 // The driver's connection handling is multiplexed: instead of four
 // goroutines per switch (reader, watch dispatcher, packet-in deliverer,
-// echo prober), one mux per driver runs
+// echo prober), each switch keeps only its reader goroutine (readLoop,
+// parked in the runtime netpoller between frames) and one mux per
+// driver runs
 //
 //   - a small worker pool executing per-switch tasks,
 //   - one recursive watch on <region>/switches demultiplexed to the
-//     owning connection by path,
-//   - one echo scheduler ticking for every connection, and
-//   - (on Linux) one epoll poller owning the read side of every
-//     TCP-backed control channel (poll_linux.go).
+//     owning connection by path, and
+//   - one echo scheduler ticking for every connection.
 //
 // Each SwitchConn serializes its own work through a mailbox — an
 // unbounded FIFO of closures of which at most one is in a worker at a
 // time — so per-switch handling keeps the ordering the dedicated
-// goroutines provided while the goroutine count stays O(workers), not
-// O(switches). A city-scale controller holding thousands of switch
-// connections runs on a handful of goroutines.
-//
-// Transports that are not OS sockets (net.Pipe rigs, fault-injection
-// wrappers) keep a dedicated reader goroutine but share everything else.
+// goroutines provided while the goroutines doing that work stay
+// O(workers), not O(switches).
 type mux struct {
-	d      *Driver
-	watch  *vfs.Watch
-	poller *poller // nil when epoll is unavailable
+	d     *Driver
+	watch *vfs.Watch
 
 	qmu   sync.Mutex
 	cond  *sync.Cond
@@ -57,7 +52,6 @@ func newMux(d *Driver) (*mux, error) {
 	}
 	m := &mux{d: d, watch: w, quitCh: make(chan struct{})}
 	m.cond = sync.NewCond(&m.qmu)
-	m.poller = newPoller()
 	workers := runtime.NumCPU()
 	if workers < 2 {
 		workers = 2
@@ -68,10 +62,6 @@ func newMux(d *Driver) (*mux, error) {
 	}
 	m.wg.Add(1)
 	go m.demux()
-	if m.poller != nil {
-		m.wg.Add(1)
-		go m.poller.loop(m)
-	}
 	if d.EchoInterval > 0 {
 		misses := d.EchoMisses
 		if misses <= 0 {
@@ -92,9 +82,6 @@ func (m *mux) stop() {
 	m.qmu.Unlock()
 	m.cond.Broadcast()
 	m.watch.Close()
-	if m.poller != nil {
-		m.poller.close()
-	}
 	m.wg.Wait()
 }
 
@@ -200,7 +187,7 @@ func switchNameFromPath(root, p string) string {
 // enqueue appends a task to the connection's mailbox, scheduling a
 // drain on the worker pool if one is not already running. The mailbox
 // serializes a connection's work — watch events, echo probes, packet-in
-// deliveries, poller reads — without pinning a goroutine per switch.
+// deliveries — without pinning a goroutine per switch.
 // The drain task submitted is the method value bound once at attach
 // (drainBoxFn), not sc.drainBox, which would allocate a closure per
 // wakeup.

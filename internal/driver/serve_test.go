@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -176,5 +177,74 @@ func TestCounterQueryOnDeadConnection(t *testing.T) {
 	}
 	if time.Since(start) > statsTimeout+time.Second {
 		t.Fatal("counter read hung past the stats timeout")
+	}
+}
+
+// TestServeTearsDownOnMalformedFrame: over a real TCP connection accepted
+// by Serve, a frame the codec cannot take — a header whose length field
+// is below the 8-byte header, or an unknown version byte — must tear the
+// connection down (the switch sees EOF) and flip the status file to
+// disconnected, rather than wedge or resynchronize the stream.
+func TestServeTearsDownOnMalformedFrame(t *testing.T) {
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"short length", []byte{openflow.Version10, byte(openflow.MsgEchoRequest), 0, 4, 0, 0, 0, 9}},
+		{"unknown version", []byte{0x7f, byte(openflow.MsgEchoRequest), 0, 8, 0, 0, 0, 9}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			y, err := yancfs.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := New(y)
+			defer d.Close()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() { _ = d.Serve(ln) }()
+
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sw := openflow.NewConn(c)
+			if err := sw.HandshakeSwitch(openflow.Version10, &openflow.FeaturesReply{DatapathID: 1}); err != nil {
+				t.Fatal(err)
+			}
+			p := y.Root()
+			eventually(t, "attach", func() bool {
+				s, _ := p.ReadString("/switches/sw1/status")
+				return s == "connected"
+			})
+			sc := d.Lookup("sw1")
+			if sc == nil {
+				t.Fatal("attached switch not registered")
+			}
+
+			if _, err := c.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-sc.Done():
+			case <-time.After(2 * time.Second):
+				t.Fatal("malformed frame did not tear the connection down")
+			}
+			if err := c.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.Copy(io.Discard, c); err != nil {
+				t.Fatalf("controller did not close the socket: %v", err)
+			}
+			eventually(t, "disconnected status", func() bool {
+				s, _ := p.ReadString("/switches/sw1/status")
+				return s == "disconnected"
+			})
+		})
 	}
 }

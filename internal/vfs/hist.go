@@ -106,7 +106,8 @@ func (s HistSnapshot) Avg() time.Duration {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) from the buckets,
-// reporting the upper bound of the bucket containing the target rank.
+// reporting the upper bound of the bucket containing the target rank,
+// clamped to Max: no sample exceeds Max, so neither may an estimate.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -125,7 +126,7 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	for i, c := range s.Buckets {
 		seen += c
 		if seen >= rank {
-			return HistBucketBound(i)
+			return min(HistBucketBound(i), s.Max)
 		}
 	}
 	return s.Max
