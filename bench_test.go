@@ -363,8 +363,8 @@ func BenchmarkE12FlowPushScale(b *testing.B) {
 	}
 }
 
-// BenchmarkE13LibyancFlow is the same workload through the libyanc batch
-// fastpath — near-zero counted syscalls (§8.1).
+// BenchmarkE13LibyancFlow is the same workload through the libyanc
+// submission ring — near-zero counted syscalls (§8.1).
 func BenchmarkE13LibyancFlow(b *testing.B) {
 	for _, k := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("switches-%d", k), func(b *testing.B) {
@@ -374,18 +374,27 @@ func BenchmarkE13LibyancFlow(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				before := y.VFS().Stats().Total()
-				batch := libyanc.New(y).NewBatch()
+				work := make([]libyanc.SQE, k)
 				for s := 1; s <= k; s++ {
-					batch.Put(fmt.Sprintf("/switches/sw%d/flows/f", s), benchutil.SampleFlowSpec(s))
+					work[s-1] = libyanc.SQE{Op: libyanc.OpPut, Path: fmt.Sprintf("/switches/sw%d/flows/f", s), Spec: benchutil.SampleFlowSpec(s)}
 				}
+				r := libyanc.New(y).NewFlowRing(libyanc.RingConfig{SQDepth: 1024})
+				before := y.VFS().Stats().Total()
 				b.StartTimer()
-				if err := batch.Commit(); err != nil {
+				for _, w := range work {
+					if err := r.Submit(w); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := r.Flush(); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
 				ops := y.VFS().Stats().Total() - before
 				b.ReportMetric(float64(ops)/float64(k), "syscalls/switch")
+				if err := r.Close(); err != nil {
+					b.Fatal(err)
+				}
 				b.StartTimer()
 			}
 		})

@@ -46,7 +46,7 @@ type experiment struct {
 func main() {
 	runList := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	flag.BoolVar(&quick, "quick", false, "smaller parameter sweeps")
-	flag.BoolVar(&gate, "gate", false, "E14: fail if 4-worker throughput < 1-worker (skipped on <4 cores); E15: fail if 8-subscriber delivery costs more than 2x 1-subscriber; E16: fail on any lost strict write, duplicate apply, or slow convergence; E17: fail on any lost install or a create→installed p99 above the budget")
+	flag.BoolVar(&gate, "gate", false, "E14: fail if 4-worker throughput < 1-worker (skipped on <4 cores); E15: fail if 8-subscriber delivery costs more than 2x 1-subscriber; E16: fail on any lost strict write, duplicate apply, or slow convergence; E17: fail on any lost install or a create→installed p99 above the budget; E18: fail if the ring push makes a counted VFS call or a packet-out stages more than one copy, or (4+ cores) if the ring is under 5x (quick) / 10x the file-I/O wall time")
 	flag.Parse()
 
 	experiments := []experiment{
@@ -89,8 +89,7 @@ func row(format string, args ...any) { fmt.Printf("   "+format+"\n", args...) }
 
 // procLine appends the experiment's .proc delta — the operation count and
 // aggregate latency profile the controller itself observed — as one row.
-func procLine(c *benchutil.Collector) {
-	r := c.Report()
+func procLine(r benchutil.Report) {
 	t := r.Lat.Total()
 	row("vfs: %d ops  avg %v  p50 %v  p99 %v  max %v",
 		r.Ops.Total(), t.Avg(), t.Quantile(0.50), t.Quantile(0.99), t.Max)
@@ -135,7 +134,7 @@ func runE1() error {
 	row("plain mkdir:              %10v/op", perPlain)
 	row("switch mkdir (+%d-entry skeleton): %10v/op", len(entries), perSwitch)
 	row("views mkdir auto-creates hosts/switches/views/events: see TestSemanticMkdirView")
-	procLine(col)
+	procLine(col.Report())
 	return nil
 }
 
@@ -181,7 +180,7 @@ func runE2() error {
 	row("fields in flow:            %d", len(fields))
 	row("flow-mods, version commit: %d", batched)
 	row("flow-mods, per-field sync: %d", naive)
-	procLine(col)
+	procLine(col.Report())
 	return nil
 }
 
@@ -217,7 +216,7 @@ func runE3() error {
 		})
 		row("subscribers=%2d  event-dirs: %10v/msg   ring: %10v/msg", subs, per, perRing)
 		if subs == 16 {
-			procLine(col)
+			procLine(col.Report())
 		}
 	}
 	return nil
@@ -355,7 +354,7 @@ func runE8() error {
 	received := <-done
 	row("write, no watch:   %10v/op", base)
 	row("write, 1 watch:    %10v/op (%d events delivered or dropped-on-overflow)", withWatch, received)
-	procLine(col)
+	procLine(col.Report())
 	return nil
 }
 
@@ -447,7 +446,7 @@ func runE10() error {
 		c.Close() //yancvet:allow errdrop benchmark teardown after explicit Flush
 		row("write latency, %-8s: %10v/op", mode, per)
 	}
-	procLine(col)
+	procLine(col.Report())
 	return nil
 }
 
@@ -499,16 +498,8 @@ func remoteRoute(c *dfs.Client, job int) error {
 	return c.WriteString(fmt.Sprintf("/hosts/route-%d", job), strings.Join(path, ","))
 }
 
-// E11 — reactive setup: table miss -> router -> flows -> delivery,
-// with the file-I/O router and the libyanc-fastpath router side by side.
+// E11 — reactive setup: table miss -> router -> flows -> delivery.
 func runE11() error {
-	if err := runE11Variant("file I/O ", false); err != nil {
-		return err
-	}
-	return runE11Variant("libyanc  ", true)
-}
-
-func runE11Variant(label string, fast bool) error {
 	r, err := benchutil.NewLinearRig(3, openflow.Version10)
 	if err != nil {
 		return err
@@ -520,9 +511,6 @@ func runE11Variant(label string, fast bool) error {
 	}
 	td.Stop()
 	rt := apps.NewRouter(r.Y.Root(), "/")
-	if fast {
-		rt.Fast = libyanc.New(r.Y)
-	}
 	if err := rt.Start(); err != nil {
 		return err
 	}
@@ -539,7 +527,7 @@ func runE11Variant(label string, fast bool) error {
 		}
 	})
 	installs, floods := rt.Stats()
-	row("%s miss -> install -> delivery: %10v/flow (installed %d, floods %d)", label, per, installs, floods)
+	row("file I/O miss -> install -> delivery: %10v/flow (installed %d, floods %d)", per, installs, floods)
 
 	// cbench-shape sustained throughput: distinct flows arriving
 	// back-to-back, the router keeping up through file I/O alone.
@@ -553,8 +541,8 @@ func runE11Variant(label string, fast bool) error {
 		time.Sleep(time.Millisecond)
 	}
 	elapsed := time.Since(start)
-	row("%s sustained: %d distinct flows in %v (%.0f flows/sec)",
-		label, burst, elapsed.Round(time.Millisecond), float64(burst)/elapsed.Seconds())
+	row("file I/O sustained: %d distinct flows in %v (%.0f flows/sec)",
+		burst, elapsed.Round(time.Millisecond), float64(burst)/elapsed.Seconds())
 	return nil
 }
 
@@ -565,23 +553,13 @@ func runE12() error {
 		if quick && k > 100 {
 			break
 		}
-		y, err := benchutil.NewFSOnlyRig(k)
+		ms, rep, err := e18FilePush(k)
 		if err != nil {
 			return err
 		}
-		p := y.Root()
-		col := benchutil.NewCollector(y.VFS())
-		before := y.VFS().Stats().Total()
-		start := time.Now()
-		for i := 1; i <= k; i++ {
-			if _, err := yancfs.WriteFlow(p, fmt.Sprintf("/switches/sw%d/flows/f", i), benchutil.SampleFlowSpec(i)); err != nil {
-				return err
-			}
-		}
-		elapsed := time.Since(start)
-		ops := y.VFS().Stats().Total() - before
-		row("switches=%4d  file I/O: %8d syscalls (%5.1f/switch)  %10v total", k, ops, float64(ops)/float64(k), elapsed)
-		procLine(col)
+		ops := rep.Ops.Total()
+		row("switches=%4d  file I/O: %8d syscalls (%5.1f/switch)  %9.3fms total", k, ops, float64(ops)/float64(k), ms)
+		procLine(rep)
 	}
 	return nil
 }
@@ -592,24 +570,11 @@ func runE13() error {
 		if quick && k > 100 {
 			break
 		}
-		y, err := benchutil.NewFSOnlyRig(k)
+		ms, ops, drains, err := e18RingPush(k)
 		if err != nil {
 			return err
 		}
-		col := benchutil.NewCollector(y.VFS())
-		before := y.VFS().Stats().Total()
-		start := time.Now()
-		b := libyanc.New(y).NewBatch()
-		for i := 1; i <= k; i++ {
-			b.Put(fmt.Sprintf("/switches/sw%d/flows/f", i), benchutil.SampleFlowSpec(i))
-		}
-		if err := b.Commit(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		ops := y.VFS().Stats().Total() - before
-		row("switches=%4d  libyanc:  %8d syscalls               %10v total", k, ops, elapsed)
-		procLine(col)
+		row("switches=%4d  libyanc:  %8d syscalls (%d drains)    %9.3fms total", k, ops, drains, ms)
 	}
 	// Zero-copy packet-in passing.
 	ring := libyanc.NewRing(4096)
@@ -1107,13 +1072,15 @@ type e18Pout struct {
 // E18 — libyanc v2 rings. Part one: the E12 workload (push one flow to
 // each of k switches) through the submission/completion ring vs the
 // per-field file-I/O path, wall clock and counted VFS calls, best of
-// three trials. Part two: zero-copy packet-out — one 1500-byte frame
+// five trials. Part two: zero-copy packet-out — one 1500-byte frame
 // fanned out to N switches per call; the per-link cost must stay flat
 // and every target's frame file must share ONE backing array (the
 // staged copy), which the sweep verifies by pointer identity through
-// vfs.ReadFileShared. Results land in BENCH_E18.json; the gate pins the
+// vfs.ReadFileShared. Results land in BENCH_E18.json; the gate pins
+// zero counted calls for the ring push at every size and the
+// one-staged-copy property on any machine, and on 4+ cores also the
 // ring speedup (>=5x at the quick size, >=10x at the full 1k-switch
-// size) and the one-staged-copy property.
+// size).
 func runE18() error {
 	const trials = 5 // best-of: single-core scheduling noise dwarfs the push itself
 	sizes := []int{10, 100, 1000}
@@ -1125,12 +1092,12 @@ func runE18() error {
 		var pt e18Push
 		pt.Switches = k
 		for tr := 0; tr < trials; tr++ {
-			fileMs, fileOps, err := e18FilePush(k)
+			fileMs, fileRep, err := e18FilePush(k)
 			if err != nil {
 				return err
 			}
 			if pt.FileMs == 0 || fileMs < pt.FileMs {
-				pt.FileMs, pt.FileOps = fileMs, fileOps
+				pt.FileMs, pt.FileOps = fileMs, fileRep.Ops.Total()
 			}
 			ringMs, ringOps, drains, err := e18RingPush(k)
 			if err != nil {
@@ -1183,22 +1150,30 @@ func runE18() error {
 	}
 	row("series written to BENCH_E18.json")
 	if gate {
-		want := 10.0
-		if quick {
-			want = 5.0
-		}
-		last := pushes[len(pushes)-1]
-		if last.Speedup < want {
-			return fmt.Errorf("E18 gate: ring push at %d switches is %.1fx the file-I/O path, want >= %.0fx",
-				last.Switches, last.Speedup, want)
+		for _, pt := range pushes {
+			if pt.RingOps != 0 {
+				return fmt.Errorf("E18 gate: ring push at %d switches made %d counted VFS calls, want 0",
+					pt.Switches, pt.RingOps)
+			}
 		}
 		for _, pt := range pouts {
 			if !pt.SharedBacking {
 				return fmt.Errorf("E18 gate: packet-out fanout=%d staged more than one payload copy", pt.Fanout)
 			}
 		}
-		row("gate: OK (ring %.1fx at %d switches, packet-out one staged copy at every fan-out)",
-			last.Speedup, last.Switches)
+		// Wall-clock ratios below 4 cores are hypervisor-steal noise; the
+		// call count and the staged copy do not depend on the machine.
+		want := 10.0
+		if quick {
+			want = 5.0
+		}
+		last := pushes[len(pushes)-1]
+		if runtime.NumCPU() >= 4 && last.Speedup < want {
+			return fmt.Errorf("E18 gate: ring push at %d switches is %.1fx the file-I/O path, want >= %.0fx",
+				last.Switches, last.Speedup, want)
+		}
+		row("gate: OK (ring 0 counted calls, %.1fx at %d switches, wall ratio gated on 4+ cores, this has %d; packet-out one staged copy at every fan-out)",
+			last.Speedup, last.Switches, runtime.NumCPU())
 	}
 	return nil
 }
@@ -1219,29 +1194,30 @@ func e18Work(k int) []libyanc.SQE {
 }
 
 // e18FilePush is the E12 path: one WriteFlow (per-field file I/O, one
-// transaction per flow) per switch.
-func e18FilePush(k int) (float64, uint64, error) {
+// transaction per flow) per switch. It returns the push's wall time in
+// ms and its .proc delta.
+func e18FilePush(k int) (float64, benchutil.Report, error) {
 	y, err := benchutil.NewFSOnlyRig(k)
 	if err != nil {
-		return 0, 0, err
+		return 0, benchutil.Report{}, err
 	}
 	work := e18Work(k)
 	p := y.Root()
-	before := y.VFS().Stats().Total()
+	col := benchutil.NewCollector(y.VFS())
 	runtime.GC() // settle rig-construction garbage outside the timed region
 	start := time.Now()
 	for _, w := range work {
 		if _, err := yancfs.WriteFlow(p, w.Path, w.Spec); err != nil {
-			return 0, 0, err
+			return 0, benchutil.Report{}, err
 		}
 	}
 	elapsed := time.Since(start)
-	return float64(elapsed.Nanoseconds()) / 1e6, y.VFS().Stats().Total() - before, nil
+	return float64(elapsed.Nanoseconds()) / 1e6, col.Report(), nil
 }
 
-// e18RingPush is the same workload through a FlowRing: k submissions, a
-// Flush barrier, and however many adaptive drain transactions the ring
-// needed.
+// e18RingPush is the same workload through a FlowRing (the E13 path): k
+// submissions, a Flush barrier, and however many adaptive drain
+// transactions the ring needed.
 func e18RingPush(k int) (float64, uint64, uint64, error) {
 	y, err := benchutil.NewFSOnlyRig(k)
 	if err != nil {

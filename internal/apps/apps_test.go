@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"yanc/internal/driver"
 	"yanc/internal/ethernet"
-	"yanc/internal/libyanc"
 	"yanc/internal/openflow"
 	"yanc/internal/switchsim"
+	"yanc/internal/vfs"
 	"yanc/internal/yancfs"
 )
 
@@ -174,44 +175,51 @@ func TestRouterReactivePathSetup(t *testing.T) {
 	}
 }
 
-func TestRouterFastpathEquivalence(t *testing.T) {
-	// The libyanc-backed router must produce the same outcome as the
-	// file-I/O router: same delivery, same flow directories.
-	r := newLinearRig(t, 3)
+// mkdirRefuser is a vfs.Limiter that, once armed, refuses every mkdir.
+type mkdirRefuser struct{ armed atomic.Bool }
+
+func (l *mkdirRefuser) Charge(op string, n int) error {
+	if op == "mkdir" && l.armed.Load() {
+		return vfs.ErrQuota
+	}
+	return nil
+}
+
+func TestRouterFailedInstallCountsOnlyFlood(t *testing.T) {
+	// The router writes path flows through its own Proc, so a limiter on
+	// that Proc can refuse the install. A refused install is a flood,
+	// not an install as well.
+	r := newLinearRig(t, 2)
 	td := NewTopod(r.y.Root(), "/")
 	if err := td.DiscoverOnce(); err != nil {
 		t.Fatal(err)
 	}
 	td.Stop()
-	rt := NewRouter(r.y.Root(), "/")
-	rt.Fast = libyanc.New(r.y)
-	if err := rt.Start(); err != nil {
+	l := &mkdirRefuser{}
+	rt := NewRouter(r.y.Root().WithLimiter(l), "/")
+	if err := rt.EnsureSubscribed(); err != nil { // Subscribe itself mkdirs
 		t.Fatal(err)
 	}
-	defer rt.Stop()
-	h1, h3 := r.hosts[0], r.hosts[2]
-	h3.ClearReceived()
-	h1.Ping(h3, 1)
-	if !h3.WaitFor(func([][]byte) bool { return h3.ReceivedPing(1) }, 2*time.Second) {
-		t.Fatal("fast router did not deliver")
-	}
-	// The path flows are ordinary committed flow directories.
+	l.armed.Store(true)
+	h1, h2 := r.hosts[0], r.hosts[1]
+	h1.SendTCP(h2, 1024, 80, nil)
 	p := r.y.Root()
-	found := 0
-	for _, sw := range []string{"sw1", "sw2", "sw3"} {
-		names, _ := yancfs.ListFlows(p, "/switches/"+sw)
-		for _, n := range names {
-			if strings.HasPrefix(n, "router-") {
-				v, err := yancfs.FlowVersion(p, "/switches/"+sw+"/flows/"+n)
-				if err != nil || v == 0 {
-					t.Errorf("%s/%s not committed: %d %v", sw, n, v, err)
-				}
-				found++
-			}
-		}
+	eventually(t, "table miss", func() bool {
+		msgs, _ := yancfs.PendingEvents(p, rt.buf)
+		return len(msgs) == 1
+	})
+	rt.Drain()
+	if installs, floods := rt.Stats(); installs != 0 || floods != 1 {
+		t.Errorf("installs=%d floods=%d, want 0 and 1", installs, floods)
 	}
-	if found < 3 {
-		t.Errorf("path flows = %d", found)
+	names, err := yancfs.ListFlows(p, "/switches/sw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "router-") {
+			t.Errorf("refused install left flow %s on sw1", n)
+		}
 	}
 }
 

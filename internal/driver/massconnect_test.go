@@ -17,10 +17,10 @@ import (
 // (re)connect path: 1000 switches dialing one listener concurrently must
 // all end up attached and "connected" — no spurious handshake timeouts,
 // no accept-queue overflow, no dialer left stuck in backoff. This is
-// what forced the bounded handshake backlog in Serve, the staggered
-// DialRetry in switchsim, and the multiplexed read path (goroutine-per-
-// switch read loops would be 4000 goroutines here; the mux runs the
-// same population on a worker pool).
+// what forced the bounded handshake backlog in Serve and the staggered
+// DialRetry in switchsim. Each attached switch is read by its own
+// readLoop goroutine parked in the Go netpoller, so this test also
+// holds 1000 parked readers alongside the mux's worker pool.
 func TestMassConnectHandshakeBacklog(t *testing.T) {
 	const nSwitches = 1000
 	y, err := yancfs.New()

@@ -3,9 +3,10 @@
 // point) per field, and pushing flows to thousands of switches costs tens
 // of thousands of such calls. libyanc provides
 //
-//   - atomic, batched flow creation: an entire batch of flows across any
-//     number of switches commits under a single tree-lock acquisition and
-//     a single event flush, without any per-field call;
+//   - FlowRing, a flow-mod submission/completion ring: flows for any
+//     number of switches commit in adaptive batches, each under one
+//     transaction and one event flush, without any per-field call
+//     (Client.PutFlow is its synchronous one-flow form);
 //   - a zero-copy packet-in ring: the driver publishes packet buffers by
 //     reference and any number of applications consume them without the
 //     event-directory copies of §3.5.
@@ -40,63 +41,6 @@ func (c *Client) PutFlow(flowPath string, spec yancfs.FlowSpec) (uint64, error) 
 		return err
 	})
 	return version, err
-}
-
-// Batch accumulates flow writes for a single atomic commit.
-type Batch struct {
-	client  *Client
-	entries []batchEntry
-}
-
-type batchEntry struct {
-	path string
-	spec yancfs.FlowSpec
-}
-
-// NewBatch starts an empty batch.
-func (c *Client) NewBatch() *Batch { return &Batch{client: c} }
-
-// Put schedules a flow write. flowPath is the flow directory path (e.g.
-// /switches/sw7/flows/f1).
-func (b *Batch) Put(flowPath string, spec yancfs.FlowSpec) *Batch {
-	b.entries = append(b.entries, batchEntry{path: flowPath, spec: spec})
-	return b
-}
-
-// Len reports the number of scheduled writes.
-func (b *Batch) Len() int { return len(b.entries) }
-
-// Reset discards every scheduled write, making the batch reusable. A
-// successful Commit resets implicitly; Reset exists for abandoning a
-// failed or partially-built batch.
-func (b *Batch) Reset() { b.entries = b.entries[:0] }
-
-// Commit applies every scheduled write under one lock acquisition and
-// one event flush.
-//
-// Retry contract: on success the batch is reset, so committing again is
-// a no-op rather than a double-apply. On failure the entries are
-// RETAINED for a retry — but there is no rollback: entries that already
-// applied before the failing one have landed, and a retry re-applies
-// the whole batch (idempotent in content, though each re-applied flow's
-// version is bumped again). Call Reset to abandon a failed batch
-// instead.
-func (b *Batch) Commit() error {
-	if len(b.entries) == 0 {
-		return nil
-	}
-	err := b.client.y.VFS().WithTx(func(tx *vfs.Tx) error {
-		for _, e := range b.entries {
-			if _, err := b.client.y.PutFlowTx(tx, e.path, e.spec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err == nil {
-		b.Reset()
-	}
-	return err
 }
 
 // PacketInMsg is one fastpath packet-in: the switch it came from plus the

@@ -1,7 +1,6 @@
 package libyanc
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +108,7 @@ func TestPutFlowRewriteClearsStaleFields(t *testing.T) {
 	}
 }
 
-func TestBatchCommitAtomicity(t *testing.T) {
+func TestFlowRingCommitAtomicity(t *testing.T) {
 	y := newY(t)
 	p := y.Root()
 	for _, sw := range []string{"sw1", "sw2", "sw3"} {
@@ -117,27 +116,28 @@ func TestBatchCommitAtomicity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A watcher must observe the whole batch in one event flush: no
-	// interleaved observation point where only part of the batch exists.
+	// Every entry commits a complete flow: a watcher sees each flow's
+	// version write, and no flow is left half-listed.
 	w, err := p.AddWatch("/switches", vfs.OpWrite, vfs.Recursive(), vfs.BufferSize(8192))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c := New(y)
-	b := c.NewBatch()
+	r := New(y).NewFlowRing(RingConfig{})
 	m, _ := openflow.ParseMatch("dl_type=0x0800")
 	for _, sw := range []string{"sw1", "sw2", "sw3"} {
 		for i := 0; i < 5; i++ {
-			b.Put("/switches/"+sw+"/flows/f"+string(rune('0'+i)),
-				yancfs.FlowSpec{Match: m, Priority: uint16(i), Actions: []openflow.Action{openflow.Output(1)}})
+			if err := r.Submit(SQE{Op: OpPut, Path: "/switches/" + sw + "/flows/f" + itoa(i),
+				Spec: yancfs.FlowSpec{Match: m, Priority: uint16(i), Actions: []openflow.Action{openflow.Output(1)}}}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if b.Len() != 15 {
-		t.Fatalf("batch len = %d", b.Len())
-	}
-	if err := b.Commit(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Completed != 15 {
+		t.Fatalf("ring completed %d entries, want 15", st.Completed)
 	}
 	for _, sw := range []string{"sw1", "sw2", "sw3"} {
 		names, err := yancfs.ListFlows(p, "/switches/"+sw)
@@ -160,9 +160,9 @@ func TestBatchCommitAtomicity(t *testing.T) {
 	}
 }
 
-func TestBatchOpCountAdvantage(t *testing.T) {
-	// The whole point of libyanc: the batch path must cost dramatically
-	// fewer counted VFS calls than per-field file I/O (§8.1).
+func TestFlowRingOpCountAdvantage(t *testing.T) {
+	// The whole point of libyanc: the ring must cost dramatically fewer
+	// counted VFS calls than per-field file I/O (§8.1).
 	yFast, ySlow := newY(t), newY(t)
 	m, _ := openflow.ParseMatch("dl_type=0x0800,nw_proto=6,tp_dst=22")
 	spec := yancfs.FlowSpec{Match: m, Priority: 1, Actions: []openflow.Action{openflow.Output(1)}}
@@ -182,63 +182,19 @@ func TestBatchOpCountAdvantage(t *testing.T) {
 	slowOps := ySlow.VFS().Stats().Total() - slowBase
 
 	fastBase := yFast.VFS().Stats().Total()
-	b := New(yFast).NewBatch()
+	r := New(yFast).NewFlowRing(RingConfig{})
 	for i := 0; i < flows; i++ {
-		b.Put("/switches/sw1/flows/f"+itoa(i), spec)
+		if err := r.Submit(SQE{Op: OpPut, Path: "/switches/sw1/flows/f" + itoa(i), Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.Commit(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	fastOps := yFast.VFS().Stats().Total() - fastBase
 
 	if fastOps*10 > slowOps {
 		t.Errorf("fastpath not ≥10x cheaper: fast=%d slow=%d counted ops", fastOps, slowOps)
-	}
-}
-
-// TestBatchReuseAfterCommit is the regression for the Batch retry
-// contract: a successful Commit resets the batch, so committing again
-// is a no-op rather than a silent double-apply; a failed Commit retains
-// the entries for a retry; Reset abandons them.
-func TestBatchReuseAfterCommit(t *testing.T) {
-	y := newY(t)
-	p := y.Root()
-	if _, err := yancfs.CreateSwitch(p, "/", "sw1"); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := openflow.ParseMatch("dl_type=0x0800")
-	spec := yancfs.FlowSpec{Match: m, Priority: 1, Actions: []openflow.Action{openflow.Output(1)}}
-	b := New(y).NewBatch()
-	b.Put("/switches/sw1/flows/f", spec)
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("successful commit left %d entries queued", b.Len())
-	}
-	// Historically this re-applied the whole batch and bumped every
-	// version; now it must be a no-op.
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := p.ReadString("/switches/sw1/flows/f/version"); err != nil || strings.TrimSpace(s) != "1" {
-		t.Fatalf("version after double commit = %q, %v (double-apply regression)", s, err)
-	}
-
-	// A failed commit retains the entries so the caller can retry.
-	b.Put("/switches/ghost/flows/f", spec)
-	if err := b.Commit(); err == nil {
-		t.Fatal("commit into a missing switch succeeded")
-	}
-	if b.Len() != 1 {
-		t.Fatalf("failed commit kept %d entries, want 1", b.Len())
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("reset left %d entries", b.Len())
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatalf("empty batch commit = %v", err)
 	}
 }
 

@@ -581,7 +581,7 @@ func (tx *Tx) Creator() Cred {
 }
 
 // WithTx runs fn while holding the tree lock in write mode, then delivers
-// the events fn queued. This is the primitive libyanc's batch fastpath
+// the events fn queued. This is the primitive libyanc's flow ring
 // builds on. Note that a transaction serializes against every other
 // file-system operation — it is the whole-tree critical section; the
 // syscall-shaped entry points are the scalable path.

@@ -192,8 +192,9 @@ func (c *Controller) Shell(out io.Writer) *shell.Env {
 	return shell.NewEnv(c.Root(), out)
 }
 
-// Fastpath returns a libyanc client: batched atomic flow writes without
-// per-field file I/O (§8.1).
+// Fastpath returns a libyanc client (§8.1): PutFlow commits one flow
+// without per-field file I/O, and NewFlowRing opens a submission ring
+// that commits bulk flow pushes in batched transactions.
 func (c *Controller) Fastpath() *libyanc.Client { return libyanc.New(c.y) }
 
 // NewPacketRing installs a zero-copy packet-in ring as the fastpath event
