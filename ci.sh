@@ -3,7 +3,8 @@
 # (go vet plus the yancvet lock/clock/error invariant suite), the
 # full test suite under the race detector, a doubled run of the
 # concurrency stress/chaos battery, vet and race tests of the perfbench
-# benchmark module, a benchmark smoke pass (every
+# benchmark module, a 2-second perfbench push run (fails if its flow-table
+# oracle or lost-write checks fail), a benchmark smoke pass (every
 # benchmark runs one iteration, so a broken rig fails CI even when no
 # one is measuring), the E14 multicore scaling gate (fails the build
 # if 4 workers are slower than 1 on a 4+-core machine), the E15
@@ -72,6 +73,12 @@ echo "==> perfbench (go vet, go test -race)"
     go vet .
     go test -race .
 )
+
+# A short push run puts the switch flow tables under the benchmark's own
+# correctness checks (every switch table equals the committed flows, no
+# lost writes); perfbench exits non-zero when any check fails.
+echo "==> perfbench push smoke (table oracle and lost-write checks, 2 s)"
+bash perfbench/run.sh --workload push --seed 1 --seconds 2
 
 echo "==> go test -bench (smoke, 1 iteration)"
 go test -bench=. -benchtime=1x -run='^$' ./...

@@ -106,8 +106,9 @@ type ChurnResult struct {
 }
 
 // installTracker matches WriteFlow calls to the FlowAdds the switches
-// later apply. Keys are exact-match strings (globally unique per flow
-// index by construction, see SampleFlowSpec); each key holds a FIFO of
+// later apply. Keys are match identities (Match.Identity: globally
+// unique per flow index by construction, see SampleFlowSpec, and
+// compared without formatting the match); each key holds a FIFO of
 // start timestamps. A FlowAdd resolves every outstanding start for its
 // key at once: the driver's version dedup may coalesce back-to-back
 // modifies into a single push, and all of them became switch state the
@@ -118,7 +119,7 @@ type ChurnResult struct {
 // as Lost.
 type installTracker struct {
 	mu       sync.Mutex
-	pending  map[string][]int64
+	pending  map[openflow.Match][]int64
 	npending int
 	hist     *TrackingHistogram
 	resolved atomic.Uint64
@@ -126,17 +127,17 @@ type installTracker struct {
 }
 
 func newInstallTracker() *installTracker {
-	return &installTracker{pending: make(map[string][]int64), hist: NewTrackingHistogram()}
+	return &installTracker{pending: make(map[openflow.Match][]int64), hist: NewTrackingHistogram()}
 }
 
-func (t *installTracker) add(key string, startNS int64) {
+func (t *installTracker) add(key openflow.Match, startNS int64) {
 	t.mu.Lock()
 	t.pending[key] = append(t.pending[key], startNS)
 	t.npending++
 	t.mu.Unlock()
 }
 
-func (t *installTracker) resolve(key string, nowNS int64) {
+func (t *installTracker) resolve(key openflow.Match, nowNS int64) {
 	t.mu.Lock()
 	starts := t.pending[key]
 	if len(starts) > 0 {
@@ -150,7 +151,7 @@ func (t *installTracker) resolve(key string, nowNS int64) {
 	t.resolved.Add(uint64(len(starts)))
 }
 
-func (t *installTracker) abort(key string) {
+func (t *installTracker) abort(key openflow.Match) {
 	t.mu.Lock()
 	n := len(t.pending[key])
 	if n > 0 {
@@ -298,7 +299,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 				return
 			}
 			installs.Add(1)
-			tr.resolve(fm.Match.Key(), now().UnixNano())
+			tr.resolve(fm.Match.Identity(), now().UnixNano())
 		})
 		wg.Add(1)
 		go func() {
@@ -358,7 +359,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	live := make([]int, 0, cfg.Flows)
 	for i := 0; i < cfg.Flows; i++ {
 		spec := SampleFlowSpec(i)
-		tr.add(spec.Match.Key(), now().UnixNano())
+		tr.add(spec.Match.Identity(), now().UnixNano())
 		if err := writeFlow(flowPath(i), spec); err != nil {
 			return nil, fmt.Errorf("churn: create f%07d: %w", i, err)
 		}
@@ -383,7 +384,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			idx := next
 			next++
 			spec := SampleFlowSpec(idx)
-			tr.add(spec.Match.Key(), now().UnixNano())
+			tr.add(spec.Match.Identity(), now().UnixNano())
 			if err := writeFlow(flowPath(idx), spec); err != nil {
 				return nil, fmt.Errorf("churn: create f%07d: %w", idx, err)
 			}
@@ -395,7 +396,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			// A modify keeps match and priority — so the switch updates
 			// the same entry in place — and rewrites the action list.
 			spec.Actions[0].TOS = uint8(4 * (1 + op%32))
-			tr.add(spec.Match.Key(), now().UnixNano())
+			tr.add(spec.Match.Identity(), now().UnixNano())
 			if err := writeFlow(flowPath(idx), spec); err != nil {
 				return nil, fmt.Errorf("churn: modify f%07d: %w", idx, err)
 			}
@@ -405,7 +406,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			idx := live[j]
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
-			tr.abort(SampleFlowSpec(idx).Match.Key())
+			tr.abort(SampleFlowSpec(idx).Match.Identity())
 			if err := deleteFlow(flowPath(idx)); err != nil {
 				return nil, fmt.Errorf("churn: delete f%07d: %w", idx, err)
 			}

@@ -113,6 +113,22 @@ type flowState struct {
 	version  uint64
 }
 
+// flowID is a flow's strict identity on the switch (match + priority):
+// the key the switch's flow-removed messages carry.
+type flowID struct {
+	match    openflow.Match // Match.Identity form
+	priority uint16
+}
+
+func (st flowState) id() flowID { return flowID{st.match.Identity(), st.priority} }
+
+// idNames records the flow directories pushed with one identity: how
+// many, and the name of the only one when n == 1.
+type idNames struct {
+	name string
+	n    int
+}
+
 // SwitchConn is one connected switch.
 type SwitchConn struct {
 	Name     string
@@ -127,6 +143,7 @@ type SwitchConn struct {
 
 	mu         sync.Mutex
 	flows      map[string]flowState // flow dir name -> pushed state
+	byID       map[flowID]idNames   // the flows index: identity -> dir names
 	portConfig map[uint32]uint32    // hardware port config as last seen
 	pending    map[uint32]chan *openflow.StatsReply
 	echoMiss   int // consecutive unanswered liveness probes
@@ -265,6 +282,7 @@ func (d *Driver) Attach(rw io.ReadWriter) (*SwitchConn, error) {
 		conn:       conn,
 		proc:       d.Y.Root(),
 		flows:      make(map[string]flowState),
+		byID:       make(map[flowID]idNames),
 		portConfig: make(map[uint32]uint32),
 		pending:    make(map[uint32]chan *openflow.StatsReply),
 		pktin:      make(chan *openflow.PacketIn, pktInQueueLen),
@@ -587,17 +605,21 @@ func (sc *SwitchConn) handlePortStatus(ps *openflow.PortStatus) {
 
 // handleFlowRemoved deletes the corresponding flow directory when the
 // hardware expires an entry, keeping the file system truthful.
+//
+// When several directories share the removed entry's identity, each
+// flow-removed deletes one of them: removing one of two such directories
+// sends a delete-strict that takes out their shared entry, and the
+// flow-removed it draws deletes the other.
 func (sc *SwitchConn) handleFlowRemoved(fr *openflow.FlowRemoved) {
-	key := fr.Match.Key()
+	id := flowID{fr.Match.Identity(), fr.Priority}
 	sc.mu.Lock()
-	var name string
-	for n, st := range sc.flows {
-		if st.priority == fr.Priority && st.match.Key() == key {
-			name = n
-			break
-		}
+	e := sc.byID[id]
+	name := e.name
+	if e.n > 1 {
+		name = sc.nameWithID(id, "")
 	}
 	if name != "" {
+		sc.unindex(sc.flows[name], name)
 		delete(sc.flows, name)
 	}
 	sc.mu.Unlock()
@@ -737,11 +759,19 @@ func (sc *SwitchConn) pushFlow(name string, version uint64, spec yancfs.FlowSpec
 		sc.mu.Unlock()
 		return
 	}
-	sc.flows[name] = flowState{match: spec.Match, priority: spec.Priority, version: version}
+	st := flowState{match: spec.Match, priority: spec.Priority, version: version}
+	sc.flows[name] = st
+	moved := known && prev.id() != st.id()
+	if moved {
+		sc.unindex(prev, name)
+	}
+	if moved || !known {
+		sc.index(st, name)
+	}
 	sc.mu.Unlock()
 
 	// Identity change: remove the superseded hardware entry first.
-	if known && (prev.priority != spec.Priority || !prev.match.Equal(spec.Match)) {
+	if moved {
 		_ = sc.write(&openflow.FlowMod{
 			Command:  openflow.FlowDeleteStrict,
 			Match:    prev.match,
@@ -775,7 +805,10 @@ func (sc *SwitchConn) pushFlow(name string, version uint64, spec yancfs.FlowSpec
 func (sc *SwitchConn) removeFlow(name string) {
 	sc.mu.Lock()
 	st, ok := sc.flows[name]
-	delete(sc.flows, name)
+	if ok {
+		sc.unindex(st, name)
+		delete(sc.flows, name)
+	}
 	sc.mu.Unlock()
 	if !ok {
 		return
@@ -795,8 +828,52 @@ func (sc *SwitchConn) renameFlow(oldName, newName string) {
 	if st, ok := sc.flows[oldName]; ok {
 		delete(sc.flows, oldName)
 		sc.flows[newName] = st
+		id := st.id()
+		if e := sc.byID[id]; e.name == oldName {
+			e.name = newName
+			sc.byID[id] = e
+		}
 	}
 	sc.mu.Unlock()
+}
+
+// index records that flow directory name was pushed with st's identity.
+// Caller holds sc.mu.
+func (sc *SwitchConn) index(st flowState, name string) {
+	id := st.id()
+	e := sc.byID[id]
+	e.n++
+	e.name = name
+	sc.byID[id] = e
+}
+
+// unindex drops name from st's identity; when one directory is left
+// with that identity, it is found again so the index can name it.
+// Caller holds sc.mu.
+func (sc *SwitchConn) unindex(st flowState, name string) {
+	id := st.id()
+	e := sc.byID[id]
+	switch {
+	case e.n <= 1:
+		delete(sc.byID, id)
+		return
+	case e.n == 2:
+		e.name = sc.nameWithID(id, name)
+	}
+	e.n--
+	sc.byID[id] = e
+}
+
+// nameWithID scans for a pushed flow directory other than skip with the
+// given identity — the slow path, taken only while several directories
+// share one identity. Caller holds sc.mu.
+func (sc *SwitchConn) nameWithID(id flowID, skip string) string {
+	for n, st := range sc.flows {
+		if n != skip && st.id() == id {
+			return n
+		}
+	}
+	return ""
 }
 
 // syncPortConfig pushes an administrator's config.port_down write to the

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -410,6 +411,89 @@ func TestHardwareExpiryRemovesFlowDir(t *testing.T) {
 	sw.Tick(clock)
 	eventually(t, "fs reflects expiry", func() bool {
 		return !p.Exists("/switches/sw1/flows/f")
+	})
+}
+
+// TestFlowRemovedWithSharedIdentity pins what happens when two flow
+// directories are pushed with one identity (match + priority): the
+// switch holds one entry for both, so removing one directory deletes
+// that entry, and the switch's flow-removed then deletes the other
+// directory — here under the name it was renamed to — keeping the file
+// system truthful.
+func TestFlowRemovedWithSharedIdentity(t *testing.T) {
+	r := newRig(t, openflow.Version10, 1)
+	r.attach(t, 1)
+	p := r.y.Root()
+	sw := r.net.Switch(1)
+	m, _ := openflow.ParseMatch("in_port=1,dl_type=0x0800,nw_src=10.0.0.1/24")
+	for _, name := range []string{"a", "b"} {
+		if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/"+name, yancfs.FlowSpec{
+			Match: m, Priority: 5, Actions: []openflow.Action{openflow.Output(2)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, "both pushed", func() bool { return sw.FlowModCount() == 2 })
+	if n := sw.FlowCount(); n != 1 {
+		t.Fatalf("switch has %d entries for one identity, want 1", n)
+	}
+	if err := p.Rename("/switches/sw1/flows/a", "/switches/sw1/flows/c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Remove("/switches/sw1/flows/b"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "flow-removed deletes the renamed twin", func() bool {
+		return !p.Exists("/switches/sw1/flows/c") && sw.FlowCount() == 0
+	})
+	if !p.IsDir("/switches/sw1/flows") {
+		t.Fatal("flows directory went with the flow")
+	}
+}
+
+// TestHardwareExpiryAfterIdentityEdit checks that a flow-removed finds a
+// directory by the identity it was last pushed with, not its first one,
+// and under the name it was last renamed to.
+func TestHardwareExpiryAfterIdentityEdit(t *testing.T) {
+	r := newRig(t, openflow.Version13, 1)
+	r.attach(t, 1)
+	p := r.y.Root()
+	sw := r.net.Switch(1)
+	var clock atomic.Int64 // read by the switch's flow-mod path
+	clock.Store(time.Now().UnixNano())
+	sw.SetClock(func() time.Time { return time.Unix(0, clock.Load()) })
+	m1, _ := openflow.ParseMatch("in_port=1")
+	m2, _ := openflow.ParseMatch("in_port=2")
+	if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/f", yancfs.FlowSpec{
+		Match: m1, Priority: 5, Actions: []openflow.Action{openflow.Output(2)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "install", func() bool { return sw.FlowCount() == 1 })
+	if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/f", yancfs.FlowSpec{
+		Match: m2, Priority: 6, IdleTimeout: 1, Actions: []openflow.Action{openflow.Output(1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "edit", func() bool {
+		stats := sw.FlowStats(openflow.Match{})
+		return len(stats) == 1 && stats[0].Priority == 6
+	})
+	if err := p.Rename("/switches/sw1/flows/f", "/switches/sw1/flows/g"); err != nil {
+		t.Fatal(err)
+	}
+	// The mailbox handles the rename before a later flow's push, so once
+	// that push lands the driver knows the new name.
+	before := sw.FlowModCount()
+	if _, err := yancfs.WriteFlow(p, "/switches/sw1/flows/later", yancfs.FlowSpec{
+		Match: m1, Priority: 1, Actions: []openflow.Action{openflow.Output(2)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "later push", func() bool { return sw.FlowModCount() > before })
+	sw.Tick(time.Unix(0, clock.Add(int64(5*time.Second))))
+	eventually(t, "fs reflects expiry", func() bool {
+		return !p.Exists("/switches/sw1/flows/g")
 	})
 }
 

@@ -144,7 +144,7 @@ func ParseIP4(s string) (IP4, error) {
 // "take the CIDR notation" (§3.4).
 type Prefix struct {
 	Addr IP4
-	Bits int // 0..32
+	Bits uint8 // 0..32
 }
 
 // ParsePrefix parses "a.b.c.d/len"; a bare address means /32.
@@ -161,7 +161,7 @@ func ParsePrefix(s string) (Prefix, error) {
 			return Prefix{}, fmt.Errorf("%w: prefix %q", ErrBadFormat, s)
 		}
 	}
-	return Prefix{Addr: ip, Bits: n}, nil
+	return Prefix{Addr: ip, Bits: uint8(n)}, nil
 }
 
 // String formats the prefix in CIDR notation.
@@ -176,12 +176,12 @@ func (p Prefix) String() string {
 func (p Prefix) AppendString(dst []byte) []byte {
 	dst = p.Addr.AppendString(dst)
 	dst = append(dst, '/')
-	return strconv.AppendInt(dst, int64(p.Bits), 10)
+	return strconv.AppendUint(dst, uint64(p.Bits), 10)
 }
 
 // Mask returns the prefix netmask as an integer.
 func (p Prefix) Mask() uint32 {
-	if p.Bits <= 0 {
+	if p.Bits == 0 {
 		return 0
 	}
 	return ^uint32(0) << (32 - p.Bits)

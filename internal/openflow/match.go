@@ -254,12 +254,65 @@ func (m Match) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Key returns a canonical identity string: two matches with the same key
-// match exactly the same packets. Used for strict flow-mod matching.
+// Key returns the match's String form as a canonical identity string:
+// two matches have the same key exactly when they are Equal. Prefixes
+// are rendered unmasked, so 10.0.0.1/24 and 10.0.0.0/24 have different
+// keys although they match the same packets.
 func (m Match) Key() string { return m.String() }
 
-// Equal reports whether two matches are identical.
-func (m Match) Equal(o Match) bool { return m.Key() == o.Key() }
+// Identity returns the match with every field outside Set zeroed, so two
+// matches are Equal exactly when their identities are ==. It is the
+// strict flow-mod identity as a comparable value: switch tables and the
+// driver's flow index compare and key by it without formatting.
+//
+//yancvet:hotalloc
+func (m Match) Identity() Match {
+	id := Match{Set: m.Set}
+	if m.Has(FieldInPort) {
+		id.InPort = m.InPort
+	}
+	if m.Has(FieldDLSrc) {
+		id.DLSrc = m.DLSrc
+	}
+	if m.Has(FieldDLDst) {
+		id.DLDst = m.DLDst
+	}
+	if m.Has(FieldDLType) {
+		id.DLType = m.DLType
+	}
+	if m.Has(FieldDLVLAN) {
+		id.VLANID = m.VLANID
+	}
+	if m.Has(FieldDLVLANPCP) {
+		id.VLANPCP = m.VLANPCP
+	}
+	if m.Has(FieldNWTos) {
+		id.NWTos = m.NWTos
+	}
+	if m.Has(FieldNWProto) {
+		id.NWProto = m.NWProto
+	}
+	if m.Has(FieldNWSrc) {
+		id.NWSrc = m.NWSrc
+	}
+	if m.Has(FieldNWDst) {
+		id.NWDst = m.NWDst
+	}
+	if m.Has(FieldTPSrc) {
+		id.TPSrc = m.TPSrc
+	}
+	if m.Has(FieldTPDst) {
+		id.TPDst = m.TPDst
+	}
+	return id
+}
+
+// Equal reports whether two matches are identical: the same fields set,
+// with the same values (prefixes compared unmasked). Fields outside Set
+// are ignored.
+//
+//yancvet:hotalloc
+func (m Match) Equal(o Match) bool { return m.Identity() == o.Identity() }
 
 // Covers reports whether every packet matched by o is matched by m
 // (m is equal to or strictly more general than o). Used by non-strict

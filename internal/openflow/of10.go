@@ -136,13 +136,13 @@ func appendMatch10(dst []byte, m *Match) []byte {
 	wc &^= uint32(0x3f) << fw10NWSrcShift
 	srcIgnore := 32
 	if m.Has(FieldNWSrc) {
-		srcIgnore = 32 - m.NWSrc.Bits
+		srcIgnore = 32 - int(m.NWSrc.Bits)
 	}
 	wc |= uint32(srcIgnore&0x3f) << fw10NWSrcShift
 	wc &^= uint32(0x3f) << fw10NWDstShift
 	dstIgnore := 32
 	if m.Has(FieldNWDst) {
-		dstIgnore = 32 - m.NWDst.Bits
+		dstIgnore = 32 - int(m.NWDst.Bits)
 	}
 	wc |= uint32(dstIgnore&0x3f) << fw10NWDstShift
 
@@ -194,13 +194,13 @@ func decodeMatch10(b []byte) (Match, error) {
 	if srcIgnore < 32 {
 		m.Set |= FieldNWSrc
 		copy(m.NWSrc.Addr[:], b[28:32])
-		m.NWSrc.Bits = 32 - srcIgnore
+		m.NWSrc.Bits = uint8(32 - srcIgnore)
 	}
 	dstIgnore := int(wc >> fw10NWDstShift & 0x3f)
 	if dstIgnore < 32 {
 		m.Set |= FieldNWDst
 		copy(m.NWDst.Addr[:], b[32:36])
-		m.NWDst.Bits = 32 - dstIgnore
+		m.NWDst.Bits = uint8(32 - dstIgnore)
 	}
 	m.TPSrc = binary.BigEndian.Uint16(b[36:38])
 	m.TPDst = binary.BigEndian.Uint16(b[38:40])

@@ -154,8 +154,8 @@ func appendMatch13(dst []byte, m *Match) []byte {
 	return dst
 }
 
-func maskToBits(mask uint32) int {
-	bits := 0
+func maskToBits(mask uint32) uint8 {
+	var bits uint8
 	for mask&0x80000000 != 0 {
 		bits++
 		mask <<= 1

@@ -583,14 +583,14 @@ func TestMatchQuickRoundTripBothCodecs(t *testing.T) {
 			}
 			if useFields&8 != 0 {
 				m.Set |= FieldNWSrc
-				bits := int(srcBits%32) + 1
+				bits := srcBits%32 + 1
 				p := ethernet.Prefix{Addr: ethernet.IP4FromUint32(srcIP), Bits: bits}
 				p.Addr = ethernet.IP4FromUint32(srcIP & p.Mask()) // canonical
 				m.NWSrc = p
 			}
 			if useFields&16 != 0 {
 				m.Set |= FieldNWDst
-				bits := int(dstBits%32) + 1
+				bits := dstBits%32 + 1
 				p := ethernet.Prefix{Addr: ethernet.IP4FromUint32(dstIP), Bits: bits}
 				p.Addr = ethernet.IP4FromUint32(dstIP & p.Mask())
 				m.NWDst = p

@@ -3,6 +3,7 @@ package switchsim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -189,4 +190,164 @@ func TestQuickExpireNeverResurrects(t *testing.T) {
 			t.Fatalf("op %d: table has %d, model has %d", i, tab.Len(), len(live))
 		}
 	}
+}
+
+// TestQuickTableOpsMatchNaiveModel runs seeded random sequences of Add,
+// DeleteStrict, Delete, ModifyStrict and Expire against a naive model —
+// a slice of entries with insertion sequence numbers, identity compared
+// by Match.Key — and after every op checks the table's Len and its
+// Entries order: descending priority, insertion order within a priority,
+// a replaced entry keeping its predecessor's place.
+func TestQuickTableOpsMatchNaiveModel(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	type ref struct {
+		e   *FlowEntry
+		seq int
+	}
+	for trial := 0; trial < 100; trial++ {
+		tab := NewTable()
+		var model []ref
+		seq := 0
+		now := time.Unix(10000, 0)
+		sameID := func(e *FlowEntry, m openflow.Match, prio uint16) bool {
+			return e.Priority == prio && e.Match.Key() == m.Key()
+		}
+		// strictTarget picks an installed identity half the time, with
+		// garbage written into its unset fields, else a random one.
+		strictTarget := func() (openflow.Match, uint16) {
+			if len(model) == 0 || r.Intn(2) == 0 {
+				return randomMatch(r), uint16(r.Intn(4))
+			}
+			e := model[r.Intn(len(model))].e
+			m := e.Match
+			if !m.Has(openflow.FieldTPSrc) {
+				m.TPSrc = uint16(r.Intn(1000))
+			}
+			if !m.Has(openflow.FieldNWDst) {
+				m.NWDst = ethernet.Prefix{Addr: ethernet.IP4{1, 2, 3, 4}, Bits: 7}
+			}
+			return m, e.Priority
+		}
+		outPort := func() uint32 {
+			if r.Intn(2) == 0 {
+				return openflow.PortAny
+			}
+			return uint32(1 + r.Intn(3))
+		}
+		removeFromModel := func(keep func(*FlowEntry) bool) []*FlowEntry {
+			var gone []*FlowEntry
+			kept := model[:0]
+			for _, rf := range model {
+				if keep(rf.e) {
+					kept = append(kept, rf)
+				} else {
+					gone = append(gone, rf.e)
+				}
+			}
+			model = kept
+			return gone
+		}
+		for op := 0; op < 60; op++ {
+			var got, want []*FlowEntry
+			switch k := r.Intn(20); {
+			case k < 9:
+				e := &FlowEntry{
+					Match:       randomMatch(r),
+					Priority:    uint16(r.Intn(4)),
+					Actions:     []openflow.Action{openflow.Output(uint32(1 + r.Intn(3)))},
+					IdleTimeout: uint16(r.Intn(4)),
+					Created:     now,
+					LastUsed:    now,
+				}
+				replaced := false
+				for i, rf := range model {
+					if sameID(rf.e, e.Match, e.Priority) {
+						model[i].e = e
+						replaced = true
+						break
+					}
+				}
+				if !replaced {
+					seq++
+					model = append(model, ref{e: e, seq: seq})
+				}
+				tab.Add(e)
+			case k < 12:
+				m, prio := strictTarget()
+				port := outPort()
+				got = tab.DeleteStrict(m, prio, port)
+				want = removeFromModel(func(e *FlowEntry) bool {
+					return !sameID(e, m, prio) || !outputsTo(e, port)
+				})
+			case k < 14:
+				m := randomMatch(r)
+				port := outPort()
+				got = tab.Delete(m, port)
+				want = removeFromModel(func(e *FlowEntry) bool {
+					return !m.Covers(e.Match) || !outputsTo(e, port)
+				})
+			case k < 17:
+				m, prio := strictTarget()
+				actions := []openflow.Action{openflow.Output(uint32(1 + r.Intn(3)))}
+				n := tab.ModifyStrict(m, prio, actions)
+				wantN := 0
+				for _, rf := range model {
+					if sameID(rf.e, m, prio) {
+						wantN = 1
+						if rf.e.Actions[0] != actions[0] {
+							t.Fatalf("trial %d op %d: ModifyStrict left actions %v, want %v", trial, op, rf.e.Actions, actions)
+						}
+					}
+				}
+				if n != wantN {
+					t.Fatalf("trial %d op %d: ModifyStrict changed %d entries, want %d", trial, op, n, wantN)
+				}
+			default:
+				now = now.Add(time.Duration(r.Intn(3)) * time.Second)
+				for _, ex := range tab.Expire(now) {
+					got = append(got, ex.Entry)
+				}
+				want = removeFromModel(func(e *FlowEntry) bool {
+					return e.IdleTimeout == 0 || now.Sub(e.LastUsed) < time.Duration(e.IdleTimeout)*time.Second
+				})
+			}
+			sort.SliceStable(model, func(i, j int) bool {
+				if model[i].e.Priority != model[j].e.Priority {
+					return model[i].e.Priority > model[j].e.Priority
+				}
+				return model[i].seq < model[j].seq
+			})
+			if !sameEntries(got, want) {
+				t.Fatalf("trial %d op %d: removed %d entries, model removed %d", trial, op, len(got), len(want))
+			}
+			if tab.Len() != len(model) {
+				t.Fatalf("trial %d op %d: Len %d, model %d", trial, op, tab.Len(), len(model))
+			}
+			for i, e := range tab.Entries() {
+				if e != model[i].e {
+					t.Fatalf("trial %d op %d: entry %d is %v prio %d, model has %v prio %d",
+						trial, op, i, e.Match, e.Priority, model[i].e.Match, model[i].e.Priority)
+				}
+			}
+		}
+	}
+}
+
+// sameEntries reports whether a and b hold the same entries, in any
+// order.
+func sameEntries(a, b []*FlowEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	seen := make(map[*FlowEntry]int)
+	for _, e := range a {
+		seen[e]++
+	}
+	for _, e := range b {
+		if seen[e] == 0 {
+			return false
+		}
+		seen[e]--
+	}
+	return true
 }

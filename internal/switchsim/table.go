@@ -8,6 +8,7 @@
 package switchsim
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -30,24 +31,18 @@ type FlowEntry struct {
 	LastUsed time.Time
 }
 
-// matches is the strict identity used by modify/delete-strict.
-func (e *FlowEntry) sameIdentity(m openflow.Match, priority uint16) bool {
-	return e.Priority == priority && e.Match.Equal(m)
-}
-
 // Table is a single flow table: entries ordered by descending priority,
 // ties broken by insertion order (first inserted wins), which is how
-// hardware tables behave for overlapping same-priority entries.
+// hardware tables behave for overlapping same-priority entries. The
+// entries of one priority form a contiguous band, so a strict lookup
+// (match + priority) binary-searches for the band and compares match
+// identities only inside it.
 type Table struct {
 	entries []*FlowEntry
-	seq     uint64
-	order   map[*FlowEntry]uint64
 }
 
 // NewTable returns an empty flow table.
-func NewTable() *Table {
-	return &Table{order: make(map[*FlowEntry]uint64)}
-}
+func NewTable() *Table { return &Table{} }
 
 // Len returns the number of installed entries.
 func (t *Table) Len() int { return len(t.entries) }
@@ -59,31 +54,39 @@ func (t *Table) Entries() []*FlowEntry {
 	return out
 }
 
-func (t *Table) resort() {
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Priority != t.entries[j].Priority {
-			return t.entries[i].Priority > t.entries[j].Priority
+// band returns the index range [lo, hi) of the entries with the given
+// priority; when there are none, lo == hi is where such an entry goes.
+func (t *Table) band(priority uint16) (lo, hi int) {
+	lo = sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority <= priority })
+	hi = lo + sort.Search(len(t.entries)-lo, func(i int) bool { return t.entries[lo+i].Priority < priority })
+	return lo, hi
+}
+
+// find returns the index of the entry with exactly the given match and
+// priority (the strict identity used by add, modify-strict and
+// delete-strict), or -1 and the end of the priority's band.
+func (t *Table) find(m openflow.Match, priority uint16) (idx, end int) {
+	lo, hi := t.band(priority)
+	id := m.Identity()
+	for i := lo; i < hi; i++ {
+		if t.entries[i].Match.Identity() == id {
+			return i, hi
 		}
-		return t.order[t.entries[i]] < t.order[t.entries[j]]
-	})
+	}
+	return -1, hi
 }
 
 // Add installs an entry, replacing an entry with identical match and
 // priority (OpenFlow add-overlap semantics with OFPFF_CHECK_OVERLAP off).
+// A replacement keeps its predecessor's slot; a new entry goes last in
+// its priority band.
 func (t *Table) Add(e *FlowEntry) {
-	for i, ex := range t.entries {
-		if ex.sameIdentity(e.Match, e.Priority) {
-			t.seq++
-			t.order[e] = t.order[ex]
-			delete(t.order, ex)
-			t.entries[i] = e
-			return
-		}
+	i, end := t.find(e.Match, e.Priority)
+	if i >= 0 {
+		t.entries[i] = e
+		return
 	}
-	t.seq++
-	t.order[e] = t.seq
-	t.entries = append(t.entries, e)
-	t.resort()
+	t.entries = slices.Insert(t.entries, end, e)
 }
 
 // Modify updates the actions of all entries covered by m (non-strict
@@ -101,13 +104,12 @@ func (t *Table) Modify(m openflow.Match, actions []openflow.Action) int {
 
 // ModifyStrict updates the entry with exactly the given match+priority.
 func (t *Table) ModifyStrict(m openflow.Match, priority uint16, actions []openflow.Action) int {
-	for _, e := range t.entries {
-		if e.sameIdentity(m, priority) {
-			e.Actions = append([]openflow.Action(nil), actions...)
-			return 1
-		}
+	i, _ := t.find(m, priority)
+	if i < 0 {
+		return 0
 	}
-	return 0
+	t.entries[i].Actions = append([]openflow.Action(nil), actions...)
+	return 1
 }
 
 // Delete removes all entries covered by m (non-strict). outPort, when not
@@ -120,7 +122,6 @@ func (t *Table) Delete(m openflow.Match, outPort uint32) []*FlowEntry {
 	for _, e := range t.entries {
 		if m.Covers(e.Match) && outputsTo(e, outPort) {
 			removed = append(removed, e)
-			delete(t.order, e)
 			continue
 		}
 		kept = append(kept, e)
@@ -131,14 +132,13 @@ func (t *Table) Delete(m openflow.Match, outPort uint32) []*FlowEntry {
 
 // DeleteStrict removes the entry with exactly the given match+priority.
 func (t *Table) DeleteStrict(m openflow.Match, priority uint16, outPort uint32) []*FlowEntry {
-	for i, e := range t.entries {
-		if e.sameIdentity(m, priority) && outputsTo(e, outPort) {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			delete(t.order, e)
-			return []*FlowEntry{e}
-		}
+	i, _ := t.find(m, priority)
+	if i < 0 || !outputsTo(t.entries[i], outPort) {
+		return nil
 	}
-	return nil
+	e := t.entries[i]
+	t.entries = slices.Delete(t.entries, i, i+1)
+	return []*FlowEntry{e}
 }
 
 func outputsTo(e *FlowEntry, port uint32) bool {
@@ -172,10 +172,8 @@ func (t *Table) Expire(now time.Time) []ExpiredFlow {
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.Created) >= time.Duration(e.HardTimeout)*time.Second:
 			expired = append(expired, ExpiredFlow{Entry: e, Reason: openflow.RemovedHardTimeout})
-			delete(t.order, e)
 		case e.IdleTimeout > 0 && now.Sub(e.LastUsed) >= time.Duration(e.IdleTimeout)*time.Second:
 			expired = append(expired, ExpiredFlow{Entry: e, Reason: openflow.RemovedIdleTimeout})
-			delete(t.order, e)
 		default:
 			kept = append(kept, e)
 		}
